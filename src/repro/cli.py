@@ -142,6 +142,19 @@ def cmd_exact(args: argparse.Namespace) -> int:
     return 0 if result.status in ("optimal", "timeout") else 1
 
 
+def _crossover_label(crossover: dict[int, int]) -> str:
+    """``≥24²/8³`` style: each dimension's crossover as a grid side when
+    it is a perfect square/cube, else as a vertex count."""
+    if not any(crossover.values()):
+        return "any size"
+    parts = []
+    for dim, sup in ((2, "²"), (3, "³")):
+        cells = crossover.get(dim, 0)
+        side = round(cells ** (1 / dim))
+        parts.append(f"{side}{sup}" if cells and side**dim == cells else str(cells))
+    return "≥" + "/".join(parts)
+
+
 def cmd_algorithms(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import format_table
     from repro.core.algorithms.registry import REGISTRY
@@ -155,13 +168,13 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
         Sourced from the registry (``fast_fn``) and the context's
         :class:`~repro.runtime.config.RuntimeConfig` — no module probing.
         """
-        if spec.fast_fn is None:
+        if spec.fast_fn is None and not spec.crossover:
             return "-"
         if config.fast_paths == "off":
             return "kernel (off)"
         if config.fast_paths == "on":
             return "kernel (on)"
-        return f"kernel (auto ≥{config.fast_paths_min_size})"
+        return f"kernel (auto {_crossover_label(spec.crossover)})"
 
     specs = REGISTRY.specs(include_extensions=not args.paper_only)
     rows = [
@@ -381,6 +394,8 @@ def _parse_sizes(text: str) -> list[int]:
 def cmd_bench_kernels(args: argparse.Namespace) -> int:
     from repro.kernels.bench import (
         DEFAULT_ALGORITHMS,
+        SIZES_2D,
+        SIZES_3D,
         format_report,
         run_kernel_benchmark,
         summary_line,
@@ -395,8 +410,8 @@ def cmd_bench_kernels(args: argparse.Namespace) -> int:
     fast = _resolve_runtime(args)
     runtime = {None: "auto", True: "kernels", False: "reference"}[fast]
     report = run_kernel_benchmark(
-        sizes_2d=args.sizes,
-        sizes_3d=args.sizes_3d,
+        sizes_2d=SIZES_2D if args.sizes is None else args.sizes,
+        sizes_3d=SIZES_3D if args.sizes_3d is None else args.sizes_3d,
         algorithms=algorithms,
         reps=args.reps,
         seed=args.seed,
@@ -1050,27 +1065,17 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _add_runtime_option(p: argparse.ArgumentParser) -> None:
-    """``--runtime`` plus the legacy ``--fast-path`` flags as hidden aliases."""
     p.add_argument(
         "--runtime", choices=("auto", "kernels", "reference"), default=None,
         help="which implementation colors the cells: 'kernels' forces the "
              "vectorized fast paths, 'reference' the Python loops, 'auto' "
-             "(default) picks per instance size",
-    )
-    p.add_argument(
-        "--fast-path", dest="fast_path",
-        action=argparse.BooleanOptionalAction, default=None,
-        help=argparse.SUPPRESS,  # legacy alias for --runtime kernels/reference
+             "(default) picks per algorithm and instance size",
     )
 
 
 def _resolve_runtime(args: argparse.Namespace):
-    """The per-call ``fast`` preference from ``--runtime`` (or the legacy
-    hidden ``--fast-path`` aliases, which lose to an explicit ``--runtime``)."""
-    runtime = getattr(args, "runtime", None)
-    if runtime is not None:
-        return {"auto": None, "kernels": True, "reference": False}[runtime]
-    return getattr(args, "fast_path", None)
+    """The per-call ``fast`` preference from ``--runtime`` (``None`` = auto)."""
+    return {"kernels": True, "reference": False}.get(args.runtime)
 
 
 def _add_jobs_option(p: argparse.ArgumentParser) -> None:
@@ -1211,19 +1216,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the vectorized kernels against the reference loops",
         description="Benchmark the wavefront/chain kernels against the "
                     "reference Python loops on random square 2D and cubic 3D "
-                    "grids, verifying that both produce identical colorings. "
+                    "grids, verifying that both produce identical colorings, "
+                    "and derive each algorithm's kernel crossover size. "
                     "Exits nonzero on any divergence.",
-        epilog="Example: stencil-ivc bench-kernels --sizes 128,512 "
-               "--sizes-3d 32 --out BENCH_kernels.json",
+        epilog="The report's 'crossovers' section is the evidence for the "
+               "per-algorithm AlgorithmSpec.crossover table.  Example: "
+               "stencil-ivc bench-kernels --sizes 128,512 --sizes-3d 32 "
+               "--out BENCH_kernels.json",
     )
-    p.add_argument("--sizes", type=_parse_sizes, default=[128, 256, 512],
-                   metavar="N,N,...", help="square 2D grid sides (default 128,256,512)")
-    p.add_argument("--sizes-3d", type=_parse_sizes, default=[16, 32, 40],
-                   metavar="N,N,...", help="cubic 3D grid sides (default 16,32,40)")
+    p.add_argument("--sizes", type=_parse_sizes, default=None, metavar="N,N,...",
+                   help="square 2D grid sides (default 8,12,16,24,32,48,64,"
+                        "128,256,512)")
+    p.add_argument("--sizes-3d", type=_parse_sizes, default=None, metavar="N,N,...",
+                   help="cubic 3D grid sides (default 4,6,8,10,12,16,20,24,32,40)")
     p.add_argument("--algorithms", default="",
-                   help="comma-separated registry names (default GLL,GLF,BD,BDP)")
+                   help="comma-separated registry names (default: every "
+                        "algorithm with a kernel, GLL,GZO,GLF,GSL,BD,BDP)")
     p.add_argument("--reps", type=int, default=3,
-                   help="timing repetitions per cell; the minimum is reported")
+                   help="minimum timing repetitions per cell (fast cells run "
+                        "more); the median is reported")
     p.add_argument("--seed", type=int, default=0, help="random weight seed")
     p.add_argument("--out", default="BENCH_kernels.json",
                    help="JSON report path ('' skips the file)")

@@ -45,9 +45,9 @@ def bdp_recolor_order(
     if len(blocks) == 0:
         return np.arange(n, dtype=np.int64)
     sums = geo.block_weight_sums(instance.weights)
-    from repro.runtime.fastpath import resolve_fast_for
+    from repro.runtime.fastpath import resolve_fast
 
-    if resolve_fast_for(fast, n):
+    if resolve_fast(fast):
         from repro.kernels.chains import bdp_recolor_order_fast
 
         return bdp_recolor_order_fast(blocks, sums, starts, n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import difflib
 import time
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,6 +94,14 @@ class AlgorithmSpec:
         ``fn`` — the differential test suite enforces this.  Used by
         :func:`color_with` when fast paths are enabled and the instance has a
         stencil geometry; generic graphs always fall back to ``fn``.
+    crossover:
+        Per stencil dimension, the smallest vertex count from which the
+        kernel path (``fast=True``) beats the reference path
+        (``fast=False``); :func:`color_with` under ``fast_paths="auto"``
+        takes the kernels from there up.  A missing dimension means the
+        kernels win at every size.  Measured by ``stencil-ivc
+        bench-kernels`` (the ``crossovers`` section of
+        ``BENCH_kernels.json``).
     """
 
     name: str
@@ -103,6 +111,15 @@ class AlgorithmSpec:
     is_extension: bool = False
     description: str = ""
     fast_fn: Optional[AlgorithmFn] = None
+    crossover: dict[int, int] = field(default_factory=dict, hash=False)
+
+    def prefers_kernels(self, instance: IVCInstance) -> bool:
+        """Whether ``instance`` is at or above this algorithm's crossover
+        (always ``False`` without a stencil geometry: no kernel applies)."""
+        if instance.geometry is None:
+            return False
+        dim = 2 if instance.is_2d else 3
+        return instance.num_vertices >= self.crossover.get(dim, 0)
 
     def supports(self, instance: IVCInstance) -> bool:
         """Whether this heuristic can run on ``instance``."""
@@ -297,6 +314,12 @@ def _lazy_fast(attr: str) -> AlgorithmFn:
 #: smallest-last order GSL, post-optimized GLF, iterated fixed-point
 #: post-optimization of BD, SGK's weight-sorted shortcut, best-axis BD, and
 #: local search on GLF).
+#:
+#: Each ``crossover`` is the ``crossovers`` entry of the committed
+#: ``BENCH_kernels.json`` (``stencil-ivc bench-kernels --algorithms
+#: GLL,GZO,GLF,GSL,BD,BDP,GLF+P,BD+IP,BD-ax,GLF+LS``), except GSL's; the
+#: comment beside it cites the rows on either side (reference time divided
+#: by kernel time).
 REGISTRY = Registry()
 
 for _spec in (
@@ -304,16 +327,22 @@ for _spec in (
         "GLL", greedy_line_by_line, needs_geometry=False,
         description="greedy, line-by-line (lexicographic) order",
         fast_fn=_lazy_fast("gll_fast"),
+        # 16² 0.69x, 24² 1.04x; 4³ 0.61x, 6³ 1.48x
+        crossover={2: 24**2, 3: 6**3},
     ),
     AlgorithmSpec(
         "GZO", greedy_zorder,
         description="greedy, Morton Z-order traversal",
         fast_fn=_lazy_fast("gzo_fast"),
+        # 32² 0.67x, 48² 1.05x; 16³ 0.94x, 20³ 1.20x (12³ 0.68x)
+        crossover={2: 48**2, 3: 20**3},
     ),
     AlgorithmSpec(
         "GLF", greedy_largest_first, needs_geometry=False,
         description="greedy, heaviest-vertex-first order",
         fast_fn=_lazy_fast("glf_fast"),
+        # 12² 0.75x, 16² 1.22x; 6³ 0.95x, 8³ 1.45x
+        crossover={2: 16**2, 3: 8**3},
     ),
     AlgorithmSpec(
         "GKF", greedy_largest_clique_first,
@@ -327,24 +356,37 @@ for _spec in (
         "BD", bipartite_decomposition,
         description="bipartite decomposition (2-approx 2D / 4-approx 3D)",
         fast_fn=_lazy_fast("bd_fast"),
+        # 8² 2.48x, 4³ 7.14x: the kernel wins at every measured size
+        crossover={2: 0, 3: 0},
     ),
     AlgorithmSpec(
         "BDP", bipartite_decomposition_post,
         description="BD followed by the recoloring post-optimization sweep",
         fast_fn=_lazy_fast("bdp_fast"),
+        # 8² 0.60x, 12² 1.05x; 6³ 0.94x, 8³ 1.79x
+        crossover={2: 12**2, 3: 8**3},
     ),
     AlgorithmSpec(
         "GSL", _greedy_smallest_last, needs_geometry=False, is_extension=True,
         description="greedy, Matula–Beck smallest-last order",
         fast_fn=_lazy_fast("gsl_fast"),
+        # Unsettled, so the former 4096-vertex threshold stays: the
+        # sequential smallest-last order dominates both paths and the
+        # ratios stay near 1 (2D 1.15x-1.34x from 48² up, but an earlier
+        # sweep read 0.67x-1.00x at 64²-256²; 3D 0.89x-1.09x from 16³ up).
+        crossover={2: 64**2, 3: 16**3},
     ),
     AlgorithmSpec(
         "GLF+P", _glf_post, is_extension=True,
         description="GLF followed by the BDP post-optimization sweep",
+        # 8² 0.50x, 12² 1.02x; 6³ 0.80x, 8³ 1.55x
+        crossover={2: 12**2, 3: 8**3},
     ),
     AlgorithmSpec(
         "BD+IP", _bd_iterated, is_extension=True,
         description="BD with post-optimization iterated to a fixed point",
+        # 8² 0.70x, 12² 1.21x; 6³ 0.95x, 8³ 1.81x
+        crossover={2: 12**2, 3: 8**3},
     ),
     AlgorithmSpec(
         "SGK-ws", _sgk_weight_sorted, is_extension=True,
@@ -353,10 +395,14 @@ for _spec in (
     AlgorithmSpec(
         "BD-ax", _bd_best_axis, is_extension=True,
         description="BD across all decomposition axes, keeping the best",
+        # 8² 2.42x, 4³ 7.45x: the kernel wins at every measured size
+        crossover={2: 0, 3: 0},
     ),
     AlgorithmSpec(
         "GLF+LS", _glf_local_search, needs_geometry=False, is_extension=True,
         description="GLF improved by iterated-greedy local search",
+        # 12² 0.97x, 16² 1.46x; 4³ 0.69x, 6³ 1.03x
+        crossover={2: 16**2, 3: 6**3},
     ),
 ):
     REGISTRY.register(_spec)
@@ -407,11 +453,10 @@ def color_with(
         the instance has a stencil geometry (automatic fallback to the
         reference implementation otherwise).  ``None`` (default) follows the
         context's :class:`~repro.runtime.config.RuntimeConfig` fast-path
-        mode (and the legacy process switch) with the auto-mode size
-        threshold applied, so miniature instances keep the reference loops;
-        the resolved value is also scoped over the whole call, so
-        ``fast=False`` disables the kernels inside every primitive the
-        algorithm touches.
+        mode (and the legacy process switch); in ``"auto"`` mode the kernels
+        run from the spec's measured :attr:`AlgorithmSpec.crossover` up.
+        The decision is made once and scoped over the whole call, so every
+        primitive the algorithm touches follows it.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` governing this
         call (fast-path config, substrate caches, metrics).  ``None`` uses
@@ -424,11 +469,15 @@ def color_with(
         If ``name`` is not registered (with a closest-match suggestion).
     """
     from repro.runtime.context import get_context, use_context
-    from repro.runtime.fastpath import fast_paths, resolve_fast_for
+    from repro.runtime.fastpath import fast_path_mode, fast_paths
 
     ctx = context if context is not None else get_context()
     spec = REGISTRY.get(name)
-    use_fast = resolve_fast_for(fast, instance.num_vertices, context=ctx)
+    if fast is None:
+        mode = fast_path_mode(ctx)
+        use_fast = mode == "on" or (mode == "auto" and spec.prefers_kernels(instance))
+    else:
+        use_fast = bool(fast)
     fn = spec.fn
     if use_fast and spec.fast_fn is not None and instance.geometry is not None:
         fn = spec.fast_fn

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.coloring import Coloring
 from repro.core.problem import IVCInstance
-from repro.runtime.fastpath import resolve_fast_for
+from repro.runtime.fastpath import resolve_fast
 
 #: Sentinel start value for not-yet-colored vertices.
 UNCOLORED = -1
@@ -150,10 +150,11 @@ def greedy_color(
         First-fit primitive (swappable for the ablation benchmark).
     fast:
         Use the wavefront-batched kernel (stencil instances only; identical
-        starts, differentially tested).  ``None`` follows the process-wide
-        :func:`repro.kernels.config.fast_paths_enabled` switch and the
-        auto-mode size threshold; generic graphs and custom ``first_fit``
-        primitives always take the reference loop.
+        starts, differentially tested).  ``None`` follows
+        :func:`repro.runtime.fastpath.resolve_fast` (the decision
+        :func:`~repro.core.algorithms.registry.color_with` scoped over the
+        call, else the config mode); generic graphs and custom
+        ``first_fit`` primitives always take the reference loop.
     check_order:
         Validate that ``order`` is a permutation (O(n)).  Callers generating
         orders by construction — tight recolor/search loops — pass ``False``.
@@ -165,7 +166,7 @@ def greedy_color(
     elif len(order) != n:
         raise ValueError("order must be a permutation of all vertices")
     if (
-        resolve_fast_for(fast, n)
+        resolve_fast(fast)
         and instance.geometry is not None
         and first_fit is first_fit_start
     ):
@@ -235,7 +236,7 @@ def greedy_recolor_pass(
     else:
         order = np.asarray(order, dtype=np.int64)
     if (
-        resolve_fast_for(fast, n)
+        resolve_fast(fast)
         and instance.geometry is not None
         and first_fit is first_fit_start
         and _is_permutation(order, n)

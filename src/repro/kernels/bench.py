@@ -1,16 +1,21 @@
 """Kernel-vs-reference microbenchmark (``stencil-ivc bench-kernels``).
 
-Times each registry algorithm that declares a fast path twice per grid —
-once through the reference Python loops (``fast=False``) and once through
-the vectorized kernels (``fast=True``) — on the same random weights, checks
+Times each registry algorithm that declares a fast path on each grid shape
+— through the reference Python loops (``fast=False``) and through the
+vectorized kernels (``fast=True``) — on the same fresh random weights, checks
 the two colorings are *identical* (same starts array, not just the same
-maxcolor), and reports cells/second plus the speedup.  The results feed
-``BENCH_kernels.json`` and the CI benchmark-smoke step, which fails the
-build on any kernel/reference divergence.
+maxcolor), and reports cells/second plus the speedup.  From the speedups it
+derives each algorithm's per-dimension crossover: the vertex count from
+which the kernels win, which :attr:`AlgorithmSpec.crossover
+<repro.core.algorithms.registry.AlgorithmSpec.crossover>` commits for the
+auto-mode dispatch.  The results feed ``BENCH_kernels.json`` and the CI
+benchmark-smoke step, which fails the build on any kernel/reference
+divergence.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import sys
@@ -20,12 +25,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-#: Registry algorithms benchmarked by default: the greedy family's fastest
-#: order (GLL), the weight-driven order (GLF), and both chain algorithms.
-DEFAULT_ALGORITHMS = ("GLL", "GLF", "BD", "BDP")
+#: Registry algorithms benchmarked by default: every one with a kernel.
+DEFAULT_ALGORITHMS = ("GLL", "GZO", "GLF", "GSL", "BD", "BDP")
+
+#: Default sweep: small grids around the crossovers, then large ones.
+SIZES_2D = (8, 12, 16, 24, 32, 48, 64, 128, 256, 512)
+SIZES_3D = (4, 6, 8, 10, 12, 16, 20, 24, 32, 40)
+
+#: Each side of a cell runs at least ``reps`` times, and more until it has
+#: run this long (up to :data:`MAX_SAMPLES` calls), so sub-millisecond
+#: timings are medians of many calls rather than single samples.
+MIN_SAMPLE_SECONDS = 0.2
+MAX_SAMPLES = 50
 
 
-def _random_instance(shape: tuple[int, ...], seed: int):
+def _random_instance(shape: tuple[int, ...], seed: int | Sequence[int]):
     from repro.core.problem import IVCInstance
 
     rng = np.random.default_rng(seed)
@@ -36,24 +50,35 @@ def _random_instance(shape: tuple[int, ...], seed: int):
     return IVCInstance.from_grid_3d(weights, name=f"bench-{label}")
 
 
-def _best_time(fn, reps: int) -> tuple[float, object]:
-    """Minimum wall time over ``reps`` calls, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(max(1, reps)):
+def _median_time(fn, grid, reps: int, limit: int = MAX_SAMPLES) -> tuple[float, list]:
+    """Median wall time of ``fn(grid(0)), fn(grid(1)), ...`` (building the
+    grid untimed): at least ``reps`` calls, more for fast calls (see
+    :data:`MIN_SAMPLE_SECONDS`), at most ``limit``; plus every return value."""
+    samples: list[float] = []
+    values = []
+    while len(samples) < limit and (
+        len(samples) < max(1, reps) or sum(samples) < MIN_SAMPLE_SECONDS
+    ):
+        instance = grid(len(samples))
         t0 = perf_counter()
-        value = fn()
-        best = min(best, perf_counter() - t0)
-    return best, value
+        values.append(fn(instance))
+        samples.append(perf_counter() - t0)
+    return float(np.median(samples)), values
 
 
 def bench_cell(
-    instance,
+    shape: Sequence[int],
     algorithm: str,
     reps: int = 3,
     runtime: str = "auto",
+    seed: int | Sequence[int] = 0,
 ) -> dict:
-    """Benchmark one (instance, algorithm) cell: reference vs kernel.
+    """Benchmark one (grid shape, algorithm) cell: reference vs kernel.
+
+    Every timed call colors fresh random weights — call ``i`` of either side
+    colors the same ``i``-th grid, seeded from ``(*seed, i)`` — so per-input costs
+    such as a weight order's wavefront schedule are paid as a new input pays
+    them.  One untimed call per side first warms the per-shape caches.
 
     ``runtime`` restricts which side runs: ``"auto"`` (the default) times
     both and compares them; ``"kernels"`` / ``"reference"`` time only that
@@ -61,33 +86,46 @@ def bench_cell(
     ``None`` — there is nothing to diverge).
 
     Returns a flat record with timings, throughputs, the speedup, and an
-    ``identical`` flag comparing the two colorings' start arrays.
+    ``identical`` flag comparing the two sides' start arrays grid by grid.
     """
     from repro.core.algorithms.registry import color_with
 
+    shape = tuple(int(n) for n in shape)
+    base = (seed,) if isinstance(seed, int) else tuple(seed)
+    grid = functools.cache(lambda i: _random_instance(shape, (*base, i)))
+    warm = _random_instance(shape, (*base, MAX_SAMPLES))  # no timed call's index
     ref_seconds = kernel_seconds = None
     ref = fast = None
+    limit = MAX_SAMPLES
     if runtime in ("auto", "reference"):
-        ref_seconds, ref = _best_time(
-            lambda: color_with(instance, algorithm, fast=False), reps
+        color_with(warm, algorithm, fast=False)
+        ref_seconds, ref = _median_time(
+            lambda inst: color_with(inst, algorithm, fast=False), grid, reps
         )
+        limit = len(ref)
     if runtime in ("auto", "kernels"):
-        kernel_seconds, fast = _best_time(
-            lambda: color_with(instance, algorithm, fast=True), reps
+        color_with(warm, algorithm, fast=True)
+        kernel_seconds, fast = _median_time(
+            lambda inst: color_with(inst, algorithm, fast=True), grid, reps, limit
         )
-    cells = instance.num_vertices
-    shape = tuple(int(s) for s in instance.geometry.shape)
+    cells = warm.num_vertices
 
     def _rate(seconds):
         if seconds is None:
             return None
         return cells / seconds if seconds > 0 else float("inf")
 
+    identical = None
+    if ref is not None and fast is not None:
+        identical = all(
+            np.array_equal(a.starts, b.starts) for a, b in zip(ref, fast)
+        )
     return {
         "shape": list(shape),
         "dim": len(shape),
         "algorithm": algorithm,
         "cells": int(cells),
+        "samples": len(fast if fast is not None else ref),
         "ref_seconds": ref_seconds,
         "kernel_seconds": kernel_seconds,
         "ref_cells_per_sec": _rate(ref_seconds),
@@ -97,18 +135,42 @@ def bench_cell(
             if ref_seconds is not None and kernel_seconds
             else None
         ),
-        "identical": (
-            bool(np.array_equal(ref.starts, fast.starts))
-            if ref is not None and fast is not None
-            else None
-        ),
-        "maxcolor": int((fast if fast is not None else ref).maxcolor),
+        "identical": identical,
+        "maxcolor": int((fast if fast is not None else ref)[0].maxcolor),
     }
 
 
+def crossovers(results: Sequence[dict]) -> dict:
+    """Per algorithm and dimension, the smallest measured vertex count from
+    which the kernels beat the reference at that size and every larger one.
+
+    ``0`` when they win at every measured size, ``None`` when they lose at
+    the largest (or the cells were not compared).  Keys are algorithm names,
+    then ``"2"``/``"3"``.
+    """
+    table: dict = {}
+    for algorithm in dict.fromkeys(r["algorithm"] for r in results):
+        for dim in (2, 3):
+            rows = sorted(
+                (r for r in results if r["algorithm"] == algorithm and r["dim"] == dim),
+                key=lambda r: r["cells"],
+            )
+            if not rows:
+                continue
+            cross = None
+            for row in reversed(rows):
+                if row["speedup"] is None or row["speedup"] <= 1:
+                    break
+                cross = row["cells"]
+            if cross == rows[0]["cells"]:
+                cross = 0
+            table.setdefault(algorithm, {})[str(dim)] = cross
+    return table
+
+
 def run_kernel_benchmark(
-    sizes_2d: Sequence[int] = (128, 256, 512),
-    sizes_3d: Sequence[int] = (16, 32, 40),
+    sizes_2d: Sequence[int] = SIZES_2D,
+    sizes_3d: Sequence[int] = SIZES_3D,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     reps: int = 3,
     seed: int = 0,
@@ -117,9 +179,10 @@ def run_kernel_benchmark(
     """Sweep square 2D and cubic 3D grids, timing reference vs kernel.
 
     Returns the full ``BENCH_kernels.json`` document: per-cell ``results``,
-    a ``headline`` picking out the greedy numbers on the largest 2D and 3D
-    grids, and an ``all_identical`` flag that is ``False`` if *any* cell's
-    kernel coloring diverged from the reference.
+    the derived :func:`crossovers`, a ``headline`` picking out the greedy
+    numbers on the largest 2D and 3D grids, and an ``all_identical`` flag
+    that is ``False`` if *any* cell's kernel coloring diverged from the
+    reference.
     """
     from repro.kernels.substrate import substrate_stats
 
@@ -127,9 +190,11 @@ def run_kernel_benchmark(
     shapes += [(n, n, n) for n in sizes_3d]
     results = []
     for shape in shapes:
-        instance = _random_instance(shape, seed)
-        for algorithm in algorithms:
-            results.append(bench_cell(instance, algorithm, reps=reps, runtime=runtime))
+        for k, algorithm in enumerate(algorithms):
+            # Distinct grids per cell: no cell reuses another's cached schedules.
+            results.append(
+                bench_cell(shape, algorithm, reps=reps, runtime=runtime, seed=(seed, k))
+            )
 
     def _headline(dim: int) -> Optional[dict]:
         greedy = [
@@ -159,11 +224,14 @@ def run_kernel_benchmark(
             "numpy": np.__version__,
             "platform": platform.platform(),
             "reps": int(reps),
+            "timing": f"median over fresh random grids: >= reps calls, more "
+                      f"until {MIN_SAMPLE_SECONDS} s (at most {MAX_SAMPLES})",
             "seed": int(seed),
             "algorithms": list(algorithms),
             "runtime": runtime,
         },
         "results": results,
+        "crossovers": crossovers(results),
         "headline": {
             "greedy_2d": _headline(2),
             "greedy_3d": _headline(3),
@@ -224,6 +292,14 @@ def format_report(report: dict) -> str:
             f"{_sec(r['kernel_seconds'])} {speedup} "
             f"{rate / 1e6:>9.2f} {same:>5}"
         )
+    table = report.get("crossovers") or {}
+    if table:
+        lines.append("crossover (kernels win from this many vertices up):")
+        for algorithm, dims in table.items():
+            cells = ", ".join(
+                f"{dim}D {'-' if n is None else n}" for dim, n in dims.items()
+            )
+            lines.append(f"  {algorithm:>9}: {cells}")
     return "\n".join(lines)
 
 

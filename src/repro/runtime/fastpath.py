@@ -1,29 +1,28 @@
-"""Fast-path resolution: config mode + legacy process switch + per-call arg.
+"""Fast-path resolution: per-call arg > scoped decision > config mode.
 
 The vectorized kernels in :mod:`repro.kernels` are differentially tested to
-produce *identical* colorings to the reference Python loops, so they are on
-by default.  Whether a given call actually takes the kernel is decided here,
-from three layers (highest wins):
+produce *identical* colorings to the reference Python loops.  Whether a call
+takes them is decided once per algorithm, by
+:func:`~repro.core.algorithms.registry.color_with`: in ``"auto"`` mode it
+compares the instance's vertex count with the algorithm's measured
+crossover (:attr:`~repro.core.algorithms.registry.AlgorithmSpec.crossover`)
+and scopes the decision over the call with :func:`fast_paths`.
 
-1. an explicit per-call ``fast=True``/``False`` argument — always honoured
-   (benchmarks and differential tests rely on ``fast=True`` exercising the
-   kernels even on degenerate grids);
-2. the legacy process-wide switch — :func:`set_fast_paths` and the scoped
-   :func:`fast_paths` context manager (used by
-   :func:`~repro.core.algorithms.registry.color_with` so a resolved decision
-   reaches every primitive underneath the algorithm);
+The primitives underneath (first fit, the recolor pass, the BDP order, BD)
+apply no size rule of their own; :func:`resolve_fast` gives them, highest
+first:
+
+1. an explicit per-call ``fast=True``/``False`` argument;
+2. the scoped decision or legacy process switch (:func:`fast_paths`,
+   :func:`set_fast_paths`);
 3. the current :class:`~repro.runtime.config.RuntimeConfig` ``fast_paths``
-   mode: ``"off"`` disables, ``"on"`` forces, ``"auto"`` engages from
-   ``fast_paths_min_size`` vertices up (batched NumPy dispatch has fixed
-   overhead that dominates on miniature instances).
+   mode: ``"off"`` → reference, ``"on"``/``"auto"`` → kernel where one
+   applies.
 
-The legacy boolean switch maps onto the tri-state as ``True`` → auto (still
-subject to the size threshold, as it always was) and ``False`` → off.
-
-This module is re-exported by :mod:`repro.kernels.config` for backward
-compatibility; it lives in ``repro.runtime`` so :mod:`repro.core` can resolve
-fast-path decisions without a core→kernels import (the kernels themselves are
-bound lazily by the registry).
+The legacy boolean switch maps onto the tri-state as ``True`` → auto and
+``False`` → off.  This module lives in ``repro.runtime`` so :mod:`repro.core`
+can resolve fast-path decisions without a core→kernels import (the kernels
+themselves are bound lazily by the registry).
 """
 
 from __future__ import annotations
@@ -31,22 +30,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import FastPathMode
 from repro.runtime.context import ExecutionContext, get_context
 
 __all__ = [
-    "MIN_AUTO_SIZE",
+    "fast_path_mode",
     "fast_paths_enabled",
     "set_fast_paths",
     "resolve_fast",
-    "resolve_fast_for",
     "fast_paths",
 ]
-
-#: Minimum vertex count for the kernels to engage in auto mode under the
-#: *default* (environment-derived) config.  Kept as a module constant for
-#: compatibility; context-aware code reads ``config.fast_paths_min_size``.
-MIN_AUTO_SIZE: int = RuntimeConfig.from_env().fast_paths_min_size
 
 # The legacy process-wide switch. None = no override, follow the config mode.
 # A plain global (not a ContextVar) to preserve the pre-runtime semantics of
@@ -54,20 +47,26 @@ MIN_AUTO_SIZE: int = RuntimeConfig.from_env().fast_paths_min_size
 _override: Optional[bool] = None
 
 
-def fast_paths_enabled(context: Optional[ExecutionContext] = None) -> bool:
-    """Whether the vectorized kernels are currently enabled (size aside)."""
+def fast_path_mode(context: Optional[ExecutionContext] = None) -> FastPathMode:
+    """The effective tri-state mode: the switch (``True`` → ``"auto"``,
+    ``False`` → ``"off"``) if set, else the context's config mode."""
     if _override is not None:
-        return _override
+        return "auto" if _override else "off"
     ctx = context if context is not None else get_context()
-    return ctx.config.fast_paths != "off"
+    return ctx.config.fast_paths
+
+
+def fast_paths_enabled(context: Optional[ExecutionContext] = None) -> bool:
+    """Whether the vectorized kernels are currently enabled."""
+    return fast_path_mode(context) != "off"
 
 
 def set_fast_paths(enabled: bool) -> None:
     """Legacy process-wide switch: ``True`` ≈ auto mode, ``False`` = off.
 
     Overrides the config mode for the rest of the process (or until the
-    next call).  ``True`` keeps the auto-mode size threshold — it restores
-    default behaviour rather than forcing kernels onto tiny instances; use
+    next call).  ``True`` keeps each algorithm's auto-mode crossover in
+    :func:`~repro.core.algorithms.registry.color_with`; use
     ``RuntimeConfig(fast_paths="on")`` or per-call ``fast=True`` to force.
     """
     global _override
@@ -77,34 +76,8 @@ def set_fast_paths(enabled: bool) -> None:
 def resolve_fast(
     fast: Optional[bool], context: Optional[ExecutionContext] = None
 ) -> bool:
-    """Normalize a per-call ``fast`` argument: ``None`` follows the switch."""
+    """A primitive's fast decision: ``None`` follows the switch, then the mode."""
     return fast_paths_enabled(context) if fast is None else bool(fast)
-
-
-def resolve_fast_for(
-    fast: Optional[bool],
-    num_vertices: int,
-    context: Optional[ExecutionContext] = None,
-) -> bool:
-    """Per-call fast decision with the auto-mode size threshold applied.
-
-    Explicit ``True``/``False`` win unconditionally.  ``None`` consults the
-    process switch if set (``True`` behaving like auto mode), else the
-    context's config mode: ``"off"`` → False, ``"on"`` → True, ``"auto"`` →
-    ``num_vertices >= config.fast_paths_min_size``.
-    """
-    if fast is not None:
-        return bool(fast)
-    ctx = context if context is not None else get_context()
-    min_size = ctx.config.fast_paths_min_size
-    if _override is not None:
-        return _override and num_vertices >= min_size
-    mode = ctx.config.fast_paths
-    if mode == "off":
-        return False
-    if mode == "on":
-        return True
-    return num_vertices >= min_size
 
 
 @contextmanager

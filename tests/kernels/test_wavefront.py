@@ -7,11 +7,13 @@ Degenerate grids (single row/column/vertex) and zero-weight vertices are
 covered explicitly.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import greedy_engine
-from repro.core.algorithms.registry import ALGORITHMS, color_with
+from repro.core.algorithms.registry import ALGORITHMS, REGISTRY, color_with
 from repro.core.greedy_engine import greedy_color, greedy_recolor_pass
 from repro.core.orderings import (
     identity_order,
@@ -23,8 +25,13 @@ from repro.core.orderings import (
 )
 from repro.core.problem import IVCInstance
 from repro.kernels import wavefront
-from repro.kernels.config import fast_paths, fast_paths_enabled, set_fast_paths
 from repro.kernels.substrate import get_substrate
+from repro.runtime.fastpath import (
+    fast_paths,
+    fast_paths_enabled,
+    resolve_fast,
+    set_fast_paths,
+)
 
 SHAPES_2D = [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7), (6, 6)]
 SHAPES_3D = [(1, 1, 1), (3, 1, 2), (2, 2, 2), (3, 4, 2)]
@@ -55,20 +62,25 @@ def test_uncolored_sentinels_agree():
 
 
 def test_auto_mode_size_threshold():
-    # Auto mode (fast=None) only engages kernels from MIN_AUTO_SIZE vertices
-    # up; explicit True/False win unconditionally.
-    from repro.kernels.config import MIN_AUTO_SIZE, resolve_fast_for
+    # Auto mode applies each algorithm's crossover once, in color_with: GLL
+    # takes the kernel from its 2D crossover up.  The primitives apply no
+    # size rule of their own; explicit True/False win unconditionally.
+    from repro.runtime.context import ExecutionContext
 
+    below = math.isqrt(REGISTRY.get("GLL").crossover[2] - 1)
+    for side, expected in ((below, "registry.dispatch_reference"),
+                           (below + 1, "registry.dispatch_fast")):
+        ctx = ExecutionContext()
+        color_with(_instance((side, side)), "GLL", context=ctx)
+        assert ctx.metrics.snapshot()["counters"].get(expected) == 1, side
     prev = fast_paths_enabled()
     try:
         set_fast_paths(True)
-        assert resolve_fast_for(None, MIN_AUTO_SIZE) is True
-        assert resolve_fast_for(None, MIN_AUTO_SIZE - 1) is False
-        assert resolve_fast_for(True, 1) is True
-        assert resolve_fast_for(False, 10**9) is False
+        assert resolve_fast(None) is True
+        assert resolve_fast(False) is False
         set_fast_paths(False)
-        assert resolve_fast_for(None, 10**9) is False
-        assert resolve_fast_for(True, 1) is True
+        assert resolve_fast(None) is False
+        assert resolve_fast(True) is True
     finally:
         set_fast_paths(prev)
 

@@ -165,19 +165,35 @@ class TestInstallFaults:
 
 
 class TestResolveFast:
+    """The context's config mode governs color_with's kernel decision."""
+
+    @staticmethod
+    def _fast_dispatches(ctx, side, fast=None):
+        import numpy as np
+
+        from repro.core.algorithms.registry import color_with
+        from repro.core.problem import IVCInstance
+
+        inst = IVCInstance.from_grid_2d(np.ones((side, side), dtype=np.int64))
+        color_with(inst, "GLL", fast=fast, context=ctx)
+        return ctx.metrics.snapshot()["counters"].get("registry.dispatch_fast", 0)
+
     def test_follows_config_mode(self):
-        on = ExecutionContext(RuntimeConfig(fast_paths="on"))
-        off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-        auto = ExecutionContext(
-            RuntimeConfig(fast_paths="auto", fast_paths_min_size=100)
-        )
-        assert on.resolve_fast(None, 1) is True
-        assert off.resolve_fast(None, 10**6) is False
-        assert auto.resolve_fast(None, 99) is False
-        assert auto.resolve_fast(None, 100) is True
+        import math
+
+        from repro.core.algorithms.registry import REGISTRY
+
+        def ctx(mode):
+            return ExecutionContext(RuntimeConfig(fast_paths=mode))
+
+        below = math.isqrt(REGISTRY.get("GLL").crossover[2] - 1)
+        assert self._fast_dispatches(ctx("on"), 1) == 1
+        assert self._fast_dispatches(ctx("off"), 100) == 0
+        assert self._fast_dispatches(ctx("auto"), below) == 0
+        assert self._fast_dispatches(ctx("auto"), below + 1) == 1
 
     def test_explicit_argument_wins(self):
         off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-        assert off.resolve_fast(True, 1) is True
+        assert self._fast_dispatches(off, 1, fast=True) == 1
         on = ExecutionContext(RuntimeConfig(fast_paths="on"))
-        assert on.resolve_fast(False, 10**6) is False
+        assert self._fast_dispatches(on, 100, fast=False) == 0

@@ -1,15 +1,24 @@
-"""Fast-path precedence: explicit arg > legacy switch > config mode > env."""
+"""Fast-path precedence: explicit arg > scoped switch > config mode > env.
 
+Primitives follow :func:`resolve_fast` with no size rule; the per-algorithm
+crossover is applied once, by ``color_with`` (``tests/kernels/test_dispatch.py``).
+"""
+
+import math
+
+import numpy as np
 import pytest
 
 import repro.runtime.fastpath as fastpath
+from repro.core.algorithms.registry import REGISTRY, color_with
+from repro.core.problem import IVCInstance
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, set_default_context
 from repro.runtime.fastpath import (
+    fast_path_mode,
     fast_paths,
     fast_paths_enabled,
     resolve_fast,
-    resolve_fast_for,
     set_fast_paths,
 )
 
@@ -23,18 +32,24 @@ def _no_override(monkeypatch):
     set_default_context(None)
 
 
-def _ctx(mode, min_size=100):
-    return ExecutionContext(
-        RuntimeConfig(fast_paths=mode, fast_paths_min_size=min_size)
-    )
+def _ctx(mode):
+    return ExecutionContext(RuntimeConfig(fast_paths=mode))
+
+
+def _dispatched_fast(n, ctx):
+    """Whether ``color_with(GLL, fast=None)`` on an ``n x n`` grid took the
+    kernel under ``ctx``."""
+    inst = IVCInstance.from_grid_2d(np.ones((n, n), dtype=np.int64))
+    color_with(inst, "GLL", context=ctx)
+    return ctx.metrics.snapshot()["counters"].get("registry.dispatch_fast", 0) == 1
 
 
 class TestExplicitArgument:
     def test_beats_everything(self):
         set_fast_paths(False)
-        assert resolve_fast_for(True, 1, context=_ctx("off")) is True
+        assert resolve_fast(True, context=_ctx("off")) is True
         set_fast_paths(True)
-        assert resolve_fast_for(False, 10**6, context=_ctx("on")) is False
+        assert resolve_fast(False, context=_ctx("on")) is False
 
     def test_resolve_fast_normalizes(self):
         assert resolve_fast(True, context=_ctx("off")) is True
@@ -44,24 +59,26 @@ class TestExplicitArgument:
 class TestLegacySwitch:
     def test_beats_config_mode(self):
         set_fast_paths(False)
-        assert resolve_fast_for(None, 10**6, context=_ctx("on")) is False
+        assert resolve_fast(None, context=_ctx("on")) is False
         set_fast_paths(True)
-        assert resolve_fast_for(None, 10**6, context=_ctx("off")) is True
+        assert resolve_fast(None, context=_ctx("off")) is True
 
     def test_true_keeps_auto_size_threshold(self):
-        """set_fast_paths(True) restores auto behaviour, not force-on."""
+        """set_fast_paths(True) restores auto mode (the per-algorithm
+        crossover in color_with), not force-on."""
         set_fast_paths(True)
-        ctx = _ctx("auto", min_size=100)
-        assert resolve_fast_for(None, 99, context=ctx) is False
-        assert resolve_fast_for(None, 100, context=ctx) is True
+        assert fast_path_mode(_ctx("on")) == "auto"
+        below = math.isqrt(REGISTRY.get("GLL").crossover[2] - 1)
+        assert _dispatched_fast(below, _ctx("on")) is False
+        assert _dispatched_fast(below + 1, _ctx("on")) is True
 
     def test_scoped_override_restores_previous_state(self):
         ctx = _ctx("on")
         with fast_paths(False):
-            assert resolve_fast_for(None, 10**6, context=ctx) is False
+            assert resolve_fast(None, context=ctx) is False
         # no override before the block -> back to following the config
         assert fastpath._override is None
-        assert resolve_fast_for(None, 10**6, context=ctx) is True
+        assert resolve_fast(None, context=ctx) is True
 
     def test_scoped_override_nests(self):
         set_fast_paths(True)
@@ -72,11 +89,13 @@ class TestLegacySwitch:
 
 class TestConfigMode:
     def test_off_on_auto(self):
-        assert resolve_fast_for(None, 10**6, context=_ctx("off")) is False
-        assert resolve_fast_for(None, 1, context=_ctx("on")) is True
-        auto = _ctx("auto", min_size=100)
-        assert resolve_fast_for(None, 99, context=auto) is False
-        assert resolve_fast_for(None, 100, context=auto) is True
+        assert resolve_fast(None, context=_ctx("off")) is False
+        assert resolve_fast(None, context=_ctx("on")) is True
+        # Primitives apply no size rule: auto means kernel where one applies.
+        assert resolve_fast(None, context=_ctx("auto")) is True
+        assert _dispatched_fast(2, _ctx("on")) is True
+        assert _dispatched_fast(2, _ctx("auto")) is False
+        assert _dispatched_fast(64, _ctx("off")) is False
 
     def test_enabled_means_not_off(self):
         assert fast_paths_enabled(_ctx("off")) is False
@@ -88,21 +107,11 @@ class TestEnvironmentLayer:
     def test_ambient_context_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATHS", "off")
         set_default_context(None)  # force a rebuild under the patched env
-        assert resolve_fast_for(None, 10**6) is False
+        assert resolve_fast(None) is False
         monkeypatch.setenv("REPRO_FAST_PATHS", "on")
         set_default_context(None)
-        assert resolve_fast_for(None, 1) is True
+        assert resolve_fast(None) is True
 
     def test_explicit_context_ignores_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATHS", "off")
-        assert resolve_fast_for(None, 10**6, context=_ctx("on")) is True
-
-
-class TestKernelsConfigShim:
-    def test_reexports_are_the_same_objects(self):
-        from repro.kernels import config as shim
-
-        assert shim.set_fast_paths is set_fast_paths
-        assert shim.resolve_fast_for is resolve_fast_for
-        assert shim.fast_paths is fast_paths
-        assert shim.MIN_AUTO_SIZE == fastpath.MIN_AUTO_SIZE
+        assert resolve_fast(None, context=_ctx("on")) is True

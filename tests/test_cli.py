@@ -252,11 +252,11 @@ class TestRuntimeFlag:
         with pytest.raises(SystemExit):
             parser.parse_args(["suite", "--runtime", "turbo"])
 
-    def test_legacy_fast_path_flags_still_parse(self):
+    def test_fast_path_alias_removed(self):
         parser = build_parser()
-        assert parser.parse_args(["suite", "--fast-path"]).fast_path is True
-        assert parser.parse_args(["suite", "--no-fast-path"]).fast_path is False
-        assert parser.parse_args(["bench-kernels", "--fast-path"]).fast_path is True
+        for argv in (["suite", "--fast-path"], ["bench-kernels", "--no-fast-path"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_fast_path_is_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -265,14 +265,24 @@ class TestRuntimeFlag:
         assert "--runtime" in help_text
         assert "--fast-path" not in help_text
 
-    def test_explicit_runtime_beats_legacy_alias(self):
+    def test_runtime_maps_to_fast_preference(self):
         from repro.cli import _resolve_runtime
 
         parser = build_parser()
-        args = parser.parse_args(["suite", "--runtime", "reference", "--fast-path"])
-        assert _resolve_runtime(args) is False
-        assert _resolve_runtime(parser.parse_args(["suite", "--fast-path"])) is True
+        for runtime, fast in (("reference", False), ("kernels", True), ("auto", None)):
+            args = parser.parse_args(["suite", "--runtime", runtime])
+            assert _resolve_runtime(args) is fast
         assert _resolve_runtime(parser.parse_args(["suite"])) is None
+
+    def test_algorithms_lists_crossovers(self, capsys):
+        assert main(["algorithms"]) == 0
+        rows = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+        }
+        assert "kernel (auto any size)" in rows["BD"]
+        assert "kernel (auto ≥" in rows["GZO"]
+        assert "4096" not in rows["GLL"]
+        assert " - " in rows["GKF"]
 
     def test_bench_kernels_single_runtime(self, capsys):
         rc = main(["bench-kernels", "--sizes", "24", "--sizes-3d", "8",
