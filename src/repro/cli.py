@@ -143,16 +143,19 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _crossover_label(crossover: dict[int, int]) -> str:
-    """``≥24²/8³`` style: each dimension's crossover as a grid side when
-    it is a perfect square/cube, else as a vertex count."""
+    """``≥24²/≥8³`` style: each dimension's crossover as a grid side when
+    it is a perfect square/cube, else as a vertex count (``any`` for 0)."""
     if not any(crossover.values()):
         return "any size"
     parts = []
     for dim, sup in ((2, "²"), (3, "³")):
         cells = crossover.get(dim, 0)
         side = round(cells ** (1 / dim))
-        parts.append(f"{side}{sup}" if cells and side**dim == cells else str(cells))
-    return "≥" + "/".join(parts)
+        if not cells:
+            parts.append("any")
+        else:
+            parts.append(f"≥{side}{sup}" if side**dim == cells else f"≥{cells}")
+    return "/".join(parts)
 
 
 def cmd_algorithms(args: argparse.Namespace) -> int:
@@ -168,7 +171,7 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
         Sourced from the registry (``fast_fn``) and the context's
         :class:`~repro.runtime.config.RuntimeConfig` — no module probing.
         """
-        if spec.fast_fn is None and not spec.crossover:
+        if not spec.has_kernel:
             return "-"
         if config.fast_paths == "off":
             return "kernel (off)"

@@ -99,9 +99,10 @@ class AlgorithmSpec:
         kernel path (``fast=True``) beats the reference path
         (``fast=False``); :func:`color_with` under ``fast_paths="auto"``
         takes the kernels from there up.  A missing dimension means the
-        kernels win at every size.  Measured by ``stencil-ivc
-        bench-kernels`` (the ``crossovers`` section of
-        ``BENCH_kernels.json``).
+        kernels win at every size; an empty table with no ``fast_fn``
+        means the algorithm has no kernel at all (see :attr:`has_kernel`).
+        Measured by ``stencil-ivc bench-kernels`` (the ``crossovers``
+        section of ``BENCH_kernels.json``).
     """
 
     name: str
@@ -112,6 +113,12 @@ class AlgorithmSpec:
     description: str = ""
     fast_fn: Optional[AlgorithmFn] = None
     crossover: dict[int, int] = field(default_factory=dict, hash=False)
+
+    @property
+    def has_kernel(self) -> bool:
+        """Whether any kernel serves this algorithm: a ``fast_fn`` of its own,
+        or kernel primitives reached through ``fn`` (a measured crossover)."""
+        return self.fast_fn is not None or bool(self.crossover)
 
     def prefers_kernels(self, instance: IVCInstance) -> bool:
         """Whether ``instance`` is at or above this algorithm's crossover
@@ -327,22 +334,23 @@ for _spec in (
         "GLL", greedy_line_by_line, needs_geometry=False,
         description="greedy, line-by-line (lexicographic) order",
         fast_fn=_lazy_fast("gll_fast"),
-        # 16² 0.69x, 24² 1.04x; 4³ 0.61x, 6³ 1.48x
-        crossover={2: 24**2, 3: 6**3},
+        # 12² 0.97x, 16² 1.22x; 4³ 1.08x: the 3D kernel wins at every
+        # measured size
+        crossover={2: 16**2, 3: 0},
     ),
     AlgorithmSpec(
         "GZO", greedy_zorder,
         description="greedy, Morton Z-order traversal",
         fast_fn=_lazy_fast("gzo_fast"),
-        # 32² 0.67x, 48² 1.05x; 16³ 0.94x, 20³ 1.20x (12³ 0.68x)
-        crossover={2: 48**2, 3: 20**3},
+        # 24² 0.72x, 32² 1.06x; 8³ 0.76x, 10³ 1.26x (12³ 1.50x)
+        crossover={2: 32**2, 3: 10**3},
     ),
     AlgorithmSpec(
         "GLF", greedy_largest_first, needs_geometry=False,
         description="greedy, heaviest-vertex-first order",
         fast_fn=_lazy_fast("glf_fast"),
-        # 12² 0.75x, 16² 1.22x; 6³ 0.95x, 8³ 1.45x
-        crossover={2: 16**2, 3: 8**3},
+        # 8² 0.57x, 12² 1.22x; 4³ 0.66x, 6³ 1.37x
+        crossover={2: 12**2, 3: 6**3},
     ),
     AlgorithmSpec(
         "GKF", greedy_largest_clique_first,
@@ -356,15 +364,15 @@ for _spec in (
         "BD", bipartite_decomposition,
         description="bipartite decomposition (2-approx 2D / 4-approx 3D)",
         fast_fn=_lazy_fast("bd_fast"),
-        # 8² 2.48x, 4³ 7.14x: the kernel wins at every measured size
+        # 8² 2.40x, 4³ 4.17x: the kernel wins at every measured size
         crossover={2: 0, 3: 0},
     ),
     AlgorithmSpec(
         "BDP", bipartite_decomposition_post,
         description="BD followed by the recoloring post-optimization sweep",
         fast_fn=_lazy_fast("bdp_fast"),
-        # 8² 0.60x, 12² 1.05x; 6³ 0.94x, 8³ 1.79x
-        crossover={2: 12**2, 3: 8**3},
+        # 8² 0.87x, 12² 1.50x; 4³ 0.71x, 6³ 1.72x
+        crossover={2: 12**2, 3: 6**3},
     ),
     AlgorithmSpec(
         "GSL", _greedy_smallest_last, needs_geometry=False, is_extension=True,
@@ -372,21 +380,22 @@ for _spec in (
         fast_fn=_lazy_fast("gsl_fast"),
         # Unsettled, so the former 4096-vertex threshold stays: the
         # sequential smallest-last order dominates both paths and the
-        # ratios stay near 1 (2D 1.15x-1.34x from 48² up, but an earlier
-        # sweep read 0.67x-1.00x at 64²-256²; 3D 0.89x-1.09x from 16³ up).
+        # ratios stay near 1 (2D 1.03x-1.44x from 32² up, but an earlier
+        # sweep read 0.67x-1.00x at 64²-256²; 3D 1.00x-1.19x from 10³ up).
         crossover={2: 64**2, 3: 16**3},
     ),
     AlgorithmSpec(
         "GLF+P", _glf_post, is_extension=True,
         description="GLF followed by the BDP post-optimization sweep",
-        # 8² 0.50x, 12² 1.02x; 6³ 0.80x, 8³ 1.55x
-        crossover={2: 12**2, 3: 8**3},
+        # 8² 0.77x, 12² 1.34x; 4³ 0.60x, 6³ 1.28x
+        crossover={2: 12**2, 3: 6**3},
     ),
     AlgorithmSpec(
         "BD+IP", _bd_iterated, is_extension=True,
         description="BD with post-optimization iterated to a fixed point",
-        # 8² 0.70x, 12² 1.21x; 6³ 0.95x, 8³ 1.81x
-        crossover={2: 12**2, 3: 8**3},
+        # 8² 1.15x: the 2D kernel wins at every measured size; 4³ 0.70x,
+        # 6³ 1.57x
+        crossover={2: 0, 3: 6**3},
     ),
     AlgorithmSpec(
         "SGK-ws", _sgk_weight_sorted, is_extension=True,
@@ -395,14 +404,14 @@ for _spec in (
     AlgorithmSpec(
         "BD-ax", _bd_best_axis, is_extension=True,
         description="BD across all decomposition axes, keeping the best",
-        # 8² 2.42x, 4³ 7.45x: the kernel wins at every measured size
+        # 8² 2.28x, 4³ 4.62x: the kernel wins at every measured size
         crossover={2: 0, 3: 0},
     ),
     AlgorithmSpec(
         "GLF+LS", _glf_local_search, needs_geometry=False, is_extension=True,
         description="GLF improved by iterated-greedy local search",
-        # 12² 0.97x, 16² 1.46x; 4³ 0.69x, 6³ 1.03x
-        crossover={2: 16**2, 3: 6**3},
+        # 8² 0.85x, 12² 1.45x; 4³ 0.73x, 6³ 1.46x
+        crossover={2: 12**2, 3: 6**3},
     ),
 ):
     REGISTRY.register(_spec)
@@ -481,9 +490,12 @@ def color_with(
     fn = spec.fn
     if use_fast and spec.fast_fn is not None and instance.geometry is not None:
         fn = spec.fast_fn
+    # Count the path that runs: no kernel serves a generic graph or an
+    # algorithm without one, whatever ``fast`` asked for.
+    on_kernel = use_fast and instance.geometry is not None and spec.has_kernel
     ctx.metrics.counter("registry.dispatch").inc()
     ctx.metrics.counter(
-        "registry.dispatch_fast" if use_fast else "registry.dispatch_reference"
+        "registry.dispatch_fast" if on_kernel else "registry.dispatch_reference"
     ).inc()
     t0 = time.perf_counter()
     with use_context(ctx), fast_paths(use_fast):

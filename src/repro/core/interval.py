@@ -39,6 +39,28 @@ def overlap_matrix(starts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return lt & lt.T & nonempty[:, None] & nonempty[None, :]
 
 
+def interval_bounds(starts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` per vertex for :func:`pairs_overlap`.
+
+    ``hi`` is the end ``start + w``; ``lo`` is the start, except that an
+    empty (zero-weight) interval gets the largest end as its ``lo``, so it
+    meets no interval at all.  Both come as ``int32`` when every value fits,
+    which halves the memory the comparisons read.
+    """
+    hi = starts + weights
+    top = hi.max(initial=0)
+    i32 = np.iinfo(np.int32)
+    fits = top <= i32.max and starts.min(initial=0) >= i32.min
+    dtype = np.int32 if fits else np.int64
+    return np.where(weights > 0, starts, top).astype(dtype), hi.astype(dtype)
+
+
+def pairs_overlap(lo_u, hi_u, lo_v, hi_v) -> np.ndarray:
+    """Element-wise :func:`intervals_overlap` over :func:`interval_bounds`:
+    entry ``k`` is True iff ``[lo_u[k], hi_u[k])`` meets ``[lo_v[k], hi_v[k])``."""
+    return (lo_u < hi_v) & (lo_v < hi_u)
+
+
 def edge_overlaps(
     starts: np.ndarray, weights: np.ndarray, edges: np.ndarray
 ) -> np.ndarray:
@@ -55,13 +77,8 @@ def edge_overlaps(
         return np.zeros(0, dtype=bool)
     u = edges[:, 0]
     v = edges[:, 1]
-    ends = starts + weights
-    return (
-        (starts[u] < ends[v])
-        & (starts[v] < ends[u])
-        & (weights[u] > 0)
-        & (weights[v] > 0)
-    )
+    lo, hi = interval_bounds(starts, weights)
+    return pairs_overlap(lo[u], hi[u], lo[v], hi[v])
 
 
 def interval_str(start: int, weight: int) -> str:

@@ -2,7 +2,8 @@
 
 An :class:`IVCInstance` binds together
 
-* an undirected conflict graph in CSR form,
+* an undirected conflict graph in CSR form (for stencil instances, derived
+  from the geometry only when something reads it),
 * non-negative integer vertex weights, and
 * optionally a stencil geometry (:class:`~repro.stencil.grid2d.StencilGrid2D`
   or :class:`~repro.stencil.grid3d.StencilGrid3D`) that structure-aware
@@ -14,6 +15,7 @@ paper's terminology; instances built from a bare graph are general IVC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -43,14 +45,14 @@ def _as_weights(weights, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IVCInstance:
     """An interval vertex coloring instance.
 
     Attributes
     ----------
     graph:
-        Conflict graph in CSR form.
+        Conflict graph in CSR form (see :attr:`graph`).
     weights:
         ``int64`` array of per-vertex interval lengths (``>= 0``).
     geometry:
@@ -58,29 +60,69 @@ class IVCInstance:
         graphs.
     name:
         Free-form label used in experiment reports.
+
+    Construct with keywords: ``IVCInstance(graph=..., weights=...)`` for a
+    general graph, ``IVCInstance(weights=..., geometry=...)`` for a stencil.
     """
 
-    graph: CSRGraph
     weights: np.ndarray
     geometry: Optional[Geometry] = None
     name: str = ""
     metadata: dict = field(default_factory=dict, compare=False, repr=False)
+    # The CSR given to the constructor, ``None`` when :attr:`graph` is the
+    # geometry's.  A field, so ``dataclasses.replace`` carries it over
+    # without building the geometry's CSR.
+    _graph: Optional[CSRGraph] = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _as_weights(self.weights, self.graph.num_vertices))
-        if self.geometry is not None and self.geometry.num_vertices != self.graph.num_vertices:
+    def __init__(
+        self,
+        *,
+        weights,
+        graph: Optional[CSRGraph] = None,
+        geometry: Optional[Geometry] = None,
+        name: str = "",
+        metadata: Optional[dict] = None,
+        _graph: Optional[CSRGraph] = None,
+    ) -> None:
+        graph = graph if graph is not None else _graph
+        if graph is None and geometry is None:
+            raise ValueError("an instance needs a conflict graph or a stencil geometry")
+        if graph is not None and geometry is not None and (
+            geometry.num_vertices != graph.num_vertices
+        ):
             raise ValueError("geometry vertex count does not match graph")
+        n = geometry.num_vertices if geometry is not None else graph.num_vertices
+        object.__setattr__(self, "weights", _as_weights(weights, n))
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "metadata", metadata if metadata is not None else {})
+        object.__setattr__(self, "_graph", graph)
 
     # -------------------------------------------------------------- accessors
     @property
+    def graph(self) -> CSRGraph:
+        """Conflict graph in CSR form.
+
+        The graph given to the constructor, else the geometry's CSR: a
+        ``cached_property`` of the per-shape shared geometry, built on first
+        access.  Only the reference, generic and exact paths read it; the
+        stencil kernels and the stencil validator never do.
+        """
+        return self._graph if self._graph is not None else self.geometry.csr
+
+    @property
     def num_vertices(self) -> int:
         """Number of vertices."""
-        return self.graph.num_vertices
+        return len(self.weights)
 
     @property
     def num_edges(self) -> int:
         """Number of undirected conflict edges."""
-        return self.graph.num_edges
+        if self._graph is None:
+            # Ordered pairs within distance 1 per axis, minus self-pairs, halved.
+            cells = math.prod(3 * s - 2 for s in self.geometry.shape)
+            return (cells - self.num_vertices) // 2
+        return self._graph.num_edges
 
     @property
     def total_weight(self) -> int:
@@ -118,11 +160,9 @@ class IVCInstance:
         grid_arr = np.ascontiguousarray(weight_grid, dtype=np.int64)
         if grid_arr.ndim != 2:
             raise ValueError(f"expected a 2D weight grid, got shape {grid_arr.shape}")
-        geo = shared_geometry_2d(*grid_arr.shape)
         return cls(
-            graph=geo.csr,
             weights=grid_arr.ravel(),
-            geometry=geo,
+            geometry=shared_geometry_2d(*grid_arr.shape),
             name=name,
             metadata=metadata or {},
         )
@@ -136,11 +176,9 @@ class IVCInstance:
         grid_arr = np.ascontiguousarray(weight_grid, dtype=np.int64)
         if grid_arr.ndim != 3:
             raise ValueError(f"expected a 3D weight grid, got shape {grid_arr.shape}")
-        geo = shared_geometry_3d(*grid_arr.shape)
         return cls(
-            graph=geo.csr,
             weights=grid_arr.ravel(),
-            geometry=geo,
+            geometry=shared_geometry_3d(*grid_arr.shape),
             name=name,
             metadata=metadata or {},
         )

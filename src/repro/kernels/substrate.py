@@ -1,9 +1,10 @@
 """Shared per-shape substrate: cached geometry, adjacency, and offset tables.
 
 Stencil instances of the same shape share everything except their weights:
-the CSR adjacency, the padded neighbor-offset table the vectorized kernels
-gather through, the :math:`K_4`/:math:`K_8` block tables, and the geometric
-wavefront schedules.  Benchmark suites construct hundreds of instances over a
+the CSR adjacency (built only if a reference or exact path reads it), the
+padded neighbor table the vectorized kernels gather through (filled by
+offset arithmetic, without the CSR), the :math:`K_4`/:math:`K_8` block
+tables, and the geometric wavefront schedules.  Benchmark suites construct hundreds of instances over a
 handful of shapes, and the batch engine replays the same shapes in every
 worker process — so this module memoizes all of it behind two small LRU
 caches, keyed by ``(stencil type, grid shape)``:
@@ -27,6 +28,8 @@ no cross-process shared state to corrupt.
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -38,7 +41,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
 from repro.runtime.fingerprint import array_digest
-from repro.stencil.generic import CSRGraph
 from repro.stencil.grid2d import StencilGrid2D
 from repro.stencil.grid3d import StencilGrid3D
 
@@ -56,24 +58,37 @@ WAVEFRONT_CACHE_SIZE = _DEFAULT_CONFIG.wavefront_cache_size
 Wavefront = tuple[np.ndarray, np.ndarray]
 
 
-def _build_neighbor_table(csr: CSRGraph) -> np.ndarray:
-    """CSR adjacency as a dense ``(n, max_degree)`` table padded with ``n``.
+def _stencil_neighbor_table(shape: tuple[int, ...]) -> np.ndarray:
+    """The stencil adjacency as a dense ``(n, max_degree)`` table padded with ``n``.
+
+    Filled by offset arithmetic, never through a CSR: column ``c`` is a
+    shifted slice of an id grid padded with ``n``, for the ``c``-th Moore
+    offset in lexicographic order.  Row-major ids keep that order, so every
+    row ascends; only boundary cells lose neighbors, and sorting their rows
+    moves the pads (``n``, above every id) to the end.  The result is the
+    CSR's table element for element: ascending ids, left-compacted, as wide
+    as the maximum degree.
 
     The pad value ``n`` points one past the last vertex, so kernels index
     extended (length ``n + 1``) state arrays and padding rows behave like
     colored-with-nothing neighbors.
     """
-    n = csr.num_vertices
-    degrees = csr.degrees()
-    width = int(degrees.max(initial=0))
-    table = np.full((n, width), n, dtype=np.int64)
-    if len(csr.indices):
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        cols = np.arange(len(csr.indices), dtype=np.int64) - np.repeat(
-            csr.indptr[:-1], degrees
-        )
-        table[rows, cols] = csr.indices
-    return table
+    n = math.prod(shape)
+    ndim = len(shape)
+    padded = np.full(tuple(s + 2 for s in shape), n, dtype=np.int64)
+    padded[(slice(1, -1),) * ndim] = np.arange(n, dtype=np.int64).reshape(shape)
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=ndim) if any(o)]
+    table = np.empty(shape + (len(offsets),), dtype=np.int64)
+    for c, offset in enumerate(offsets):
+        table[..., c] = padded[tuple(slice(1 + d, 1 + d + s) for d, s in zip(offset, shape))]
+    table = table.reshape(n, len(offsets))
+    border = np.zeros(shape, dtype=bool)
+    for axis in range(ndim):
+        border[(slice(None),) * axis + ([0, -1],)] = True
+    rows = np.flatnonzero(border)
+    table[rows] = np.sort(table[rows], axis=1)
+    width = math.prod(min(s, 3) for s in shape) - 1
+    return np.ascontiguousarray(table[:, :width])
 
 
 def _line_by_line_levels(shape: tuple[int, ...]) -> np.ndarray:
@@ -149,6 +164,7 @@ def _kahn_wavefront(nbr_table: np.ndarray, rank: np.ndarray) -> Wavefront:
     indeg = (rank_ext[nbr_table] < rank[:, None]).sum(axis=1, dtype=np.int64)
     indeg_ext = np.append(indeg, np.int64(1) << 40)  # pad slot never reaches 0
     frontier = np.flatnonzero(indeg == 0).astype(np.int64)
+    slot = np.empty(n + 1, dtype=np.int64)  # dedupe scratch, reused every round
     batches: list[np.ndarray] = []
     while frontier.size:
         batches.append(frontier)
@@ -156,8 +172,13 @@ def _kahn_wavefront(nbr_table: np.ndarray, rank: np.ndarray) -> Wavefront:
         later = rank_ext[rows] > rank[frontier][:, None]
         targets = rows[later]
         np.subtract.at(indeg_ext, targets, 1)
-        candidates = np.unique(targets)
-        frontier = candidates[indeg_ext[candidates] == 0]
+        # The next frontier is every target whose in-degree hit 0, each once:
+        # one occurrence per vertex keeps its position in ``slot``; sorting
+        # that small set replaces hashing all targets through ``np.unique``.
+        ready = targets[indeg_ext[targets] == 0]
+        pos = np.arange(len(ready), dtype=np.int64)
+        slot[ready] = pos
+        frontier = np.sort(ready[slot[ready] == pos])
     verts = np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
     ptr = np.zeros(len(batches) + 1, dtype=np.int64)
     if batches:
@@ -363,7 +384,7 @@ def get_substrate(
         )
         return Substrate(
             geometry=shared,
-            nbr_table=_build_neighbor_table(shared.csr),
+            nbr_table=_stencil_neighbor_table(shared.shape),
             wavefront_cache_size=state.wavefront_cache_size,
         )
 

@@ -12,7 +12,7 @@ from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
 from repro.data import SyntheticWeightSource
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.context import ExecutionContext
+from repro.runtime.context import ExecutionContext, use_context
 
 
 def _weights(shape, seed=0):
@@ -101,6 +101,25 @@ class TestFacadeContracts:
     def test_bad_grid_rank_rejected(self):
         with pytest.raises(ValueError, match="2D or 3D"):
             color(np.arange(5), "GLL")
+
+
+class TestColdStencilPath:
+    """A cold stencil call builds only what the kernel reads: no CSR."""
+
+    @pytest.mark.parametrize("alg", ["BD", "BDP", "GLF", "GLL", "GZO"])
+    @pytest.mark.parametrize("shape", [(48, 48), (20, 20, 20)])
+    def test_kernel_call_leaves_the_csr_unbuilt(self, alg, shape):
+        # At or above every crossover of the five: the kernels run.
+        ctx = ExecutionContext()
+        with use_context(ctx):
+            result = color(_weights(shape, seed=3), alg, validate=True)
+        assert "csr" not in result.coloring.instance.geometry.__dict__
+        assert ctx.metrics.snapshot()["counters"].get("registry.dispatch_fast") == 1
+
+    def test_reference_call_builds_the_csr(self):
+        with use_context(ExecutionContext()):
+            result = color(_weights((48, 48), seed=3), "GLL", runtime="reference", validate=True)
+        assert "csr" in result.coloring.instance.geometry.__dict__
 
 
 class TestDeprecationShims:

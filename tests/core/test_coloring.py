@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.coloring import Coloring
+from repro.core.algorithms.registry import color_with
+from repro.core.coloring import Coloring, _stencil_has_overlap
+from repro.core.interval import edge_overlaps
 from repro.core.problem import IVCInstance
 from repro.stencil.generic import path_graph
+from repro.stencil.grid2d import StencilGrid2D
 
 
 @pytest.fixture
@@ -71,6 +74,67 @@ class TestValidation:
         # All four vertices are mutually adjacent; same start is invalid.
         c = Coloring(instance=inst, starts=[0, 0, 0, 0])
         assert len(c.violations()) == 6
+
+
+class TestStencilValidator:
+    """The shifted-slice grid check decides what the edge list decides."""
+
+    SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (7, 9), (1, 1, 1), (3, 1, 4), (2, 2, 2), (5, 6, 4)]
+
+    @staticmethod
+    def _instance(shape, seed):
+        # Zero-weight cells included: they overlap nothing.
+        weights = np.random.default_rng(seed).integers(0, 6, size=shape)
+        make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
+        return make(weights)
+
+    @staticmethod
+    def _edge_list_violations(coloring):
+        edges = coloring.instance.graph.edges()
+        if len(edges) == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        return edges[edge_overlaps(coloring.starts, coloring.instance.weights, edges)]
+
+    @staticmethod
+    def _check_message(coloring):
+        try:
+            coloring.check()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_agrees_with_edge_list(self, shape, seed):
+        inst = self._instance(shape, seed)
+        general = IVCInstance.from_graph(inst.graph, inst.weights)
+        rng = np.random.default_rng(seed + 100)
+        valid = color_with(inst, "GLF").starts
+        perturbed = valid.copy()
+        hit = rng.choice(len(valid), size=max(1, len(valid) // 4), replace=False)
+        perturbed[hit] = rng.integers(0, 4, size=len(hit))
+        # Ends past 2**31 take the int64 bounds instead of int32.
+        for starts in (valid, perturbed, np.zeros_like(valid), perturbed + 2**31):
+            coloring = Coloring(instance=inst, starts=starts)
+            want = self._edge_list_violations(coloring)
+            got = coloring.violations()
+            assert np.array_equal(got, want) and got.shape == want.shape
+            assert _stencil_has_overlap(inst.geometry, coloring.starts, inst.weights) == bool(len(want))
+            # check() reports exactly what the general-graph path reports.
+            assert self._check_message(coloring) == self._check_message(
+                Coloring(instance=general, starts=starts)
+            )
+
+    def test_zero_weight_cell_inside_a_neighbor_interval_is_fine(self):
+        inst = IVCInstance.from_grid_2d([[0, 5], [5, 0]])
+        assert Coloring(instance=inst, starts=[2, 0, 5, 3]).is_valid()
+        assert not Coloring(instance=inst, starts=[2, 0, 4, 3]).is_valid()
+
+    def test_valid_check_builds_no_csr(self):
+        # A geometry of its own: no other test can have built its CSR.
+        inst = IVCInstance(weights=np.ones(12, dtype=np.int64), geometry=StencilGrid2D(3, 4))
+        Coloring(instance=inst, starts=np.arange(12)).check()
+        assert "csr" not in inst.geometry.__dict__
 
 
 class TestUtility:

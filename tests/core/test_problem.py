@@ -1,11 +1,14 @@
 """Tests for the IVCInstance container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.problem import IVCInstance
 from repro.stencil.generic import cycle_graph, path_graph
 from repro.stencil.grid2d import StencilGrid2D
+from repro.stencil.grid3d import StencilGrid3D
 
 
 class TestConstruction:
@@ -84,3 +87,39 @@ class TestProperties:
     def test_num_edges_2d(self):
         inst = IVCInstance.from_grid_2d(np.ones((2, 2)))
         assert inst.num_edges == 6  # K4
+
+
+class TestLazyGraph:
+    """Stencil instances build their CSR only when something reads it."""
+
+    def test_stencil_graph_is_the_geometry_csr_on_first_access(self):
+        geometry = StencilGrid2D(3, 5)
+        inst = IVCInstance(weights=np.ones(15, dtype=np.int64), geometry=geometry)
+        assert inst.num_vertices == 15
+        assert "csr" not in geometry.__dict__
+        assert inst.graph is geometry.csr
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 2), (5, 3), (1, 1, 1), (2, 3, 1), (3, 4, 5)])
+    def test_num_edges_without_the_csr(self, shape):
+        geometry = StencilGrid2D(*shape) if len(shape) == 2 else StencilGrid3D(*shape)
+        inst = IVCInstance(weights=np.ones(geometry.num_vertices, dtype=np.int64), geometry=geometry)
+        edges = inst.num_edges
+        assert "csr" not in geometry.__dict__
+        assert edges == geometry.csr.num_edges
+
+    def test_replace_does_not_build_the_csr(self):
+        geometry = StencilGrid3D(2, 3, 4)
+        inst = IVCInstance(weights=np.arange(24), geometry=geometry, name="a")
+        renamed = dataclasses.replace(inst, name="b")
+        assert renamed.name == "b" and renamed.geometry is geometry
+        assert np.array_equal(renamed.weights, inst.weights)
+        assert "csr" not in geometry.__dict__
+
+    def test_replace_keeps_a_given_graph(self):
+        graph = cycle_graph(5)
+        renamed = dataclasses.replace(IVCInstance.from_graph(graph, np.ones(5)), name="c")
+        assert renamed.graph is graph and renamed.name == "c"
+
+    def test_needs_a_graph_or_a_geometry(self):
+        with pytest.raises(ValueError, match="graph or a stencil geometry"):
+            IVCInstance(weights=[1, 2])

@@ -16,7 +16,7 @@ from repro.core.problem import IVCInstance
 from repro.kernels import wavefront
 from repro.runtime.context import ExecutionContext
 
-KERNEL_SPECS = [s.name for s in REGISTRY.specs() if s.fast_fn is not None or s.crossover]
+KERNEL_SPECS = [s.name for s in REGISTRY.specs() if s.has_kernel]
 
 
 def _instance(side, dim, seed=5):
@@ -65,10 +65,11 @@ def test_auto_dispatch_follows_crossover(name, dim):
         assert np.array_equal(coloring.starts, reference.starts), (name, side)
 
 
-def test_gzo_12_cubed_stays_on_reference():
-    # The served workload's GZO class: the reference loop beats the kernel.
+def test_gzo_12_cubed_takes_the_kernel():
+    # The served workload's GZO class: since the Kahn schedule stopped
+    # hashing every target, the kernel beats the reference loop (1.50x).
     _coloring, took_kernel = _dispatch(_instance(12, 3), "GZO")
-    assert took_kernel is False
+    assert took_kernel is True
 
 
 def test_forced_kernels_reach_the_post_opt_sweep(monkeypatch):
@@ -90,3 +91,22 @@ def test_forced_kernels_reach_the_post_opt_sweep(monkeypatch):
     reference = color_with(instance, "GLF+P", fast=False)
     assert not calls
     assert np.array_equal(fast.starts, reference.starts)
+
+
+def test_algorithms_without_a_kernel_count_as_reference():
+    # GKF has neither a fast_fn nor a crossover: the reference loop runs
+    # whatever fast asks for, and the counters say so.
+    for fast in (None, True):
+        ctx = ExecutionContext()
+        color_with(_instance(4, 2), "GKF", fast=fast, context=ctx)
+        counters = ctx.metrics.snapshot()["counters"]
+        assert counters.get("registry.dispatch_reference") == 1, fast
+        assert "registry.dispatch_fast" not in counters, fast
+
+
+def test_generic_graph_counts_as_reference_even_when_forced():
+    from repro.stencil.generic import cycle_graph
+
+    ctx = ExecutionContext()
+    color_with(IVCInstance.from_graph(cycle_graph(6), np.ones(6)), "GLL", fast=True, context=ctx)
+    assert ctx.metrics.snapshot()["counters"].get("registry.dispatch_reference") == 1

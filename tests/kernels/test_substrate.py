@@ -1,11 +1,17 @@
-"""Substrate cache behavior: sharing, LRU bounds, and engine-pool safety."""
+"""Substrate cache behavior: sharing, LRU bounds, and engine-pool safety;
+the offset-built neighbor table and the Kahn schedule against oracles."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import IVCInstance
 from repro.engine import run_grid
 from repro.kernels.substrate import (
     CACHE_SIZE,
+    _kahn_wavefront,
+    _stencil_neighbor_table,
     cache_sizes,
     clear_caches,
     get_substrate,
@@ -13,6 +19,8 @@ from repro.kernels.substrate import (
     shared_geometry_3d,
     substrate_stats,
 )
+from repro.runtime.context import ExecutionContext
+from repro.stencil.generic import CSRGraph
 from repro.stencil.grid2d import StencilGrid2D
 from repro.stencil.grid3d import StencilGrid3D
 
@@ -92,6 +100,86 @@ def test_neighbor_table_matches_csr():
             assert real == sorted(int(u) for u in csr.neighbors(v))
             # Padding is exactly the sentinel n, nothing else out of range.
             assert all(0 <= int(u) <= n for u in row)
+
+
+def _csr_neighbor_table(csr: CSRGraph) -> np.ndarray:
+    """Oracle: the CSR rows left-compacted into an ``(n, max_degree)``
+    table padded with ``n``."""
+    n = csr.num_vertices
+    degrees = csr.degrees()
+    table = np.full((n, int(degrees.max(initial=0))), n, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    cols = np.arange(len(csr.indices), dtype=np.int64) - np.repeat(csr.indptr[:-1], degrees)
+    table[rows, cols] = csr.indices
+    return table
+
+
+def _geometry(shape):
+    return StencilGrid2D(*shape) if len(shape) == 2 else StencilGrid3D(*shape)
+
+
+def _assert_table_matches_csr(shape):
+    table = _stencil_neighbor_table(shape)
+    oracle = _csr_neighbor_table(_geometry(shape).csr)
+    assert table.dtype == oracle.dtype and table.shape == oracle.shape, shape
+    assert np.array_equal(table, oracle), shape
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 5), (5, 1), (2, 2), (7, 9), (1, 1, 1), (3, 1, 4), (2, 2, 2), (5, 6, 7)],
+)
+def test_offset_neighbor_table_is_the_csr_table(shape):
+    _assert_table_matches_csr(shape)
+
+
+@given(shape=st.one_of(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+))
+@settings(max_examples=60, deadline=None)
+def test_offset_neighbor_table_is_the_csr_table_for_any_shape(shape):
+    _assert_table_matches_csr(shape)
+
+
+def test_substrate_does_not_build_the_csr():
+    substrate = get_substrate(StencilGrid3D(3, 4, 5), context=ExecutionContext())
+    assert "csr" not in substrate.geometry.__dict__
+
+
+def _unique_kahn_oracle(nbr_table, rank):
+    """Kahn rounds deduplicating each round's targets with ``np.unique``."""
+    n = len(rank)
+    rank_ext = np.append(rank, np.int64(n))
+    indeg = (rank_ext[nbr_table] < rank[:, None]).sum(axis=1, dtype=np.int64)
+    indeg_ext = np.append(indeg, np.int64(1) << 40)
+    frontier = np.flatnonzero(indeg == 0).astype(np.int64)
+    batches = []
+    while frontier.size:
+        batches.append(frontier)
+        rows = nbr_table[frontier]
+        targets = rows[rank_ext[rows] > rank[frontier][:, None]]
+        np.subtract.at(indeg_ext, targets, 1)
+        candidates = np.unique(targets)
+        frontier = candidates[indeg_ext[candidates] == 0]
+    ptr = np.zeros(len(batches) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in batches], out=ptr[1:])
+    return np.concatenate(batches), ptr
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 8), (4, 1, 3), (5, 6, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kahn_schedule_matches_unique_oracle(shape, seed):
+    table = _stencil_neighbor_table(shape)
+    n = len(table)
+    rng = np.random.default_rng(seed)
+    # Random permutations, and orders by a few repeated weights (many ties).
+    for order in (rng.permutation(n), np.argsort(-rng.integers(0, 3, n), kind="stable")):
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64)
+        verts, ptr = _kahn_wavefront(table, rank)
+        want_verts, want_ptr = _unique_kahn_oracle(table, rank)
+        assert np.array_equal(verts, want_verts) and np.array_equal(ptr, want_ptr)
 
 
 def test_engine_pool_with_fast_paths_matches_serial_reference():
