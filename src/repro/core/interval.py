@@ -44,15 +44,10 @@ def interval_bounds(starts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
 
     ``hi`` is the end ``start + w``; ``lo`` is the start, except that an
     empty (zero-weight) interval gets the largest end as its ``lo``, so it
-    meets no interval at all.  Both come as ``int32`` when every value fits,
-    which halves the memory the comparisons read.
+    meets no interval at all.
     """
     hi = starts + weights
-    top = hi.max(initial=0)
-    i32 = np.iinfo(np.int32)
-    fits = top <= i32.max and starts.min(initial=0) >= i32.min
-    dtype = np.int32 if fits else np.int64
-    return np.where(weights > 0, starts, top).astype(dtype), hi.astype(dtype)
+    return np.where(weights > 0, starts, hi.max(initial=0)), hi
 
 
 def pairs_overlap(lo_u, hi_u, lo_v, hi_v) -> np.ndarray:

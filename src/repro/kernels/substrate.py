@@ -4,10 +4,11 @@ Stencil instances of the same shape share everything except their weights:
 the CSR adjacency (built only if a reference or exact path reads it), the
 padded neighbor table the vectorized kernels gather through (filled by
 offset arithmetic, without the CSR), the :math:`K_4`/:math:`K_8` block
-tables, and the geometric wavefront schedules.  Benchmark suites construct hundreds of instances over a
-handful of shapes, and the batch engine replays the same shapes in every
-worker process — so this module memoizes all of it behind two small LRU
-caches, keyed by ``(stencil type, grid shape)``:
+tables, and the geometric wavefront schedules.  Benchmark suites construct
+hundreds of instances over a handful of shapes, and the batch engine
+replays the same shapes in every worker process — so this module memoizes
+all of it behind two small LRU caches, keyed by ``(stencil type, grid
+shape)``:
 
 * :func:`shared_geometry` — one :class:`~repro.stencil.grid2d.StencilGrid2D` /
   :class:`~repro.stencil.grid3d.StencilGrid3D` per shape, so the

@@ -113,7 +113,7 @@ class TestStencilValidator:
         perturbed = valid.copy()
         hit = rng.choice(len(valid), size=max(1, len(valid) // 4), replace=False)
         perturbed[hit] = rng.integers(0, 4, size=len(hit))
-        # Ends past 2**31 take the int64 bounds instead of int32.
+        # Ends past 2**31 must not overflow the bounds.
         for starts in (valid, perturbed, np.zeros_like(valid), perturbed + 2**31):
             coloring = Coloring(instance=inst, starts=starts)
             want = self._edge_list_violations(coloring)

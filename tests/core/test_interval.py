@@ -76,9 +76,9 @@ class TestEdgeOverlaps:
         weights = np.array([0, 5])
         assert not edge_overlaps(starts, weights, np.array([[0, 1]]))[0]
 
-    def test_matches_scalar_predicate_inside_and_outside_int32(self, rng):
-        # Bounds past int32 either way (or negative, like UNCOLORED starts)
-        # must give the scalar predicate's answer, through int64 bounds.
+    def test_matches_scalar_predicate_at_large_and_negative_starts(self, rng):
+        # Starts past int32 either way (or negative, like UNCOLORED starts)
+        # must give the scalar predicate's answer without overflow.
         edges = np.array([(u, v) for u in range(12) for v in range(u + 1, 12)])
         for shift in (0, -1, 2**31, -(2**31) - 5):
             starts = rng.integers(0, 10, size=12) + shift
